@@ -46,7 +46,9 @@ pub trait Words {
     /// Measured size of this message in **bytes** under the wire codec.
     ///
     /// Message types with an [`Encode`] impl override this with the
-    /// codec's measured length (`crate::wire::measured(self)`); the
+    /// codec's measured length (`crate::wire::measured(self)`), which
+    /// runs that same `Encode` impl into a counting writer: sizing
+    /// allocates nothing and cannot drift from the real encoding. The
     /// default is the word model's 8-bytes-per-word upper bound, so
     /// byte accounting stays meaningful for ad-hoc test messages that
     /// never ship over a socket. Like [`Words::words`], this must never
@@ -61,8 +63,8 @@ pub trait Words {
 /// Implementations must mirror the type's [`Words`] accounting
 /// structurally: one varint (or fixed field) per word-model integer,
 /// one varint length prefix per length word, one tag byte per enum
-/// dispatch. `encode ∘ decode = id` is property-tested for every
-/// protocol message type (`tests/proptests.rs`).
+/// dispatch. `decode ∘ encode = id` is property-tested for every
+/// protocol message type (`crates/core/tests/wire_roundtrip.rs`).
 pub trait Encode {
     /// Append this value's encoding to `w`.
     fn encode(&self, w: &mut crate::wire::WireWriter);

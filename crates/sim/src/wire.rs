@@ -67,15 +67,29 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Byte sink for [`Encode`] impls.
+///
+/// [`measured`] builds the one other mode, which counts the bytes each
+/// `put_*` would append instead of storing them: sizing a message runs
+/// its own [`Encode`] impl and allocates nothing.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
+    /// `Some(n)` in counting mode: `n` bytes "written", `buf` untouched.
+    counted: Option<usize>,
 }
 
 impl WireWriter {
     /// Fresh, empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A writer that only counts (see [`measured`]).
+    fn counting() -> Self {
+        Self {
+            buf: Vec::new(),
+            counted: Some(0),
+        }
     }
 
     /// The bytes written so far.
@@ -90,21 +104,28 @@ impl WireWriter {
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// One raw byte (enum variant tags).
     pub fn put_u8(&mut self, b: u8) {
-        self.buf.push(b);
+        match &mut self.counted {
+            Some(n) => *n += 1,
+            None => self.buf.push(b),
+        }
     }
 
     /// Unsigned LEB128 varint: 7 bits per byte, high bit = continuation.
     pub fn put_varint(&mut self, mut v: u64) {
+        if let Some(n) = &mut self.counted {
+            *n += varint_len(v) as usize;
+            return;
+        }
         loop {
             let byte = (v & 0x7F) as u8;
             v >>= 7;
@@ -123,27 +144,34 @@ impl WireWriter {
 
     /// IEEE-754 double, 8 bytes little-endian (doubles don't varint).
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        match &mut self.counted {
+            Some(n) => *n += 8,
+            None => self.buf.extend_from_slice(&v.to_bits().to_le_bytes()),
+        }
     }
 
     /// A **sorted** run of values as a varint length, the first value
     /// verbatim, then successive deltas. The words model charges the
     /// same sequence `1 + len` words (length + one word per value);
-    /// this is its byte-exact mirror with gap compression.
+    /// this is its byte-exact mirror with gap compression. Takes any
+    /// exact-size iterator, so callers holding the values inside
+    /// larger records (GK tuples) need not collect them first.
     ///
     /// Debug-asserts sortedness — an unsorted run would still round-trip
     /// through [`WireReader::delta_run`] only if non-decreasing.
-    pub fn put_delta_run(&mut self, values: &[u64]) {
-        debug_assert!(
-            values.windows(2).all(|w| w[0] <= w[1]),
-            "delta runs require sorted input"
-        );
+    pub fn put_delta_run<I>(&mut self, values: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
         self.put_varint(values.len() as u64);
         let mut prev = 0u64;
-        for (i, &v) in values.iter().enumerate() {
+        for (i, v) in values.enumerate() {
             if i == 0 {
                 self.put_varint(v);
             } else {
+                debug_assert!(prev <= v, "delta runs require sorted input");
                 self.put_varint(v - prev);
             }
             prev = v;
@@ -262,9 +290,13 @@ pub fn encode_to_vec<T: Encode + ?Sized>(v: &T) -> Vec<u8> {
 /// what [`Words::wire_bytes`] overrides report for messages with a
 /// codec, and what the byte columns in `CommStats` accumulate.
 ///
+/// It runs `v`'s own [`Encode`] impl into a writer that only counts, so
+/// it allocates nothing, and sizing cannot drift from encoding: both
+/// are the same code.
+///
 /// [`Words::wire_bytes`]: crate::message::Words::wire_bytes
 pub fn measured<T: Encode + ?Sized>(v: &T) -> u64 {
-    let mut w = WireWriter::new();
+    let mut w = WireWriter::counting();
     v.encode(&mut w);
     w.len() as u64
 }
@@ -295,12 +327,18 @@ pub const MAX_FRAME_LEN: usize = 1 << 24;
 /// Write one frame: a 1-byte kind, a 4-byte little-endian payload
 /// length, then the payload. The kind byte is transport-level routing
 /// (data vs. control), distinct from the message tag *inside* the
-/// payload.
+/// payload. A payload past [`MAX_FRAME_LEN`] errors with `InvalidInput`
+/// before any byte is written, so the stream stays frame-aligned.
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<()> {
-    assert!(
-        payload.len() <= MAX_FRAME_LEN,
-        "frame exceeds MAX_FRAME_LEN"
-    );
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds cap {MAX_FRAME_LEN}",
+                payload.len()
+            ),
+        ));
+    }
     let mut header = [0u8; 5];
     header[0] = kind;
     header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -351,13 +389,30 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
 mod tests {
     use super::*;
 
+    /// Runs `put` into a real and a counting writer, asserts the count
+    /// equals the bytes written (and that counting stored none), and
+    /// returns the real writer.
+    fn written(put: impl Fn(&mut WireWriter)) -> WireWriter {
+        let mut real = WireWriter::new();
+        put(&mut real);
+        let mut counting = WireWriter::counting();
+        put(&mut counting);
+        assert_eq!(
+            counting.len(),
+            real.len(),
+            "counting writer disagrees on {:?}",
+            real.as_bytes()
+        );
+        assert!(counting.as_bytes().is_empty(), "counting mode stored bytes");
+        real
+    }
+
     #[test]
     fn varint_round_trips_at_all_widths() {
         for shift in 0..64 {
             for near in [-1i64, 0, 1] {
                 let v = (1u64 << shift).wrapping_add(near as u64);
-                let mut w = WireWriter::new();
-                w.put_varint(v);
+                let w = written(|w| w.put_varint(v));
                 assert_eq!(w.len() as u64, varint_len(v), "len helper at {v}");
                 let mut r = WireReader::new(w.as_bytes());
                 assert_eq!(r.varint().unwrap(), v);
@@ -379,8 +434,7 @@ mod tests {
     #[test]
     fn signed_round_trips_and_stays_small_near_zero() {
         for v in [-3i64, -1, 0, 1, 3, i64::MIN, i64::MAX] {
-            let mut w = WireWriter::new();
-            w.put_signed(v);
+            let w = written(|w| w.put_signed(v));
             if (-64..64).contains(&v) {
                 assert_eq!(w.len(), 1, "small magnitudes cost one byte ({v})");
             }
@@ -392,8 +446,7 @@ mod tests {
     #[test]
     fn f64_round_trips_bitwise() {
         for v in [0.0, -0.0, 1.5, f64::MIN_POSITIVE, f64::INFINITY] {
-            let mut w = WireWriter::new();
-            w.put_f64(v);
+            let w = written(|w| w.put_f64(v));
             assert_eq!(w.len(), 8);
             let mut r = WireReader::new(w.as_bytes());
             assert_eq!(r.f64().unwrap().to_bits(), v.to_bits());
@@ -402,20 +455,25 @@ mod tests {
 
     #[test]
     fn delta_run_round_trips_and_compresses_gaps() {
-        let run: Vec<u64> = (0..100).map(|i| 1_000_000 + 3 * i).collect();
-        let mut w = WireWriter::new();
-        w.put_delta_run(&run);
-        // 1 length byte + 3 bytes for the first value + 1 byte per gap.
-        assert!(w.len() < 110, "gap compression failed: {} bytes", w.len());
-        let mut r = WireReader::new(w.as_bytes());
-        assert_eq!(r.delta_run().unwrap(), run);
-        r.finish().unwrap();
+        for len in [1u64, 100, 300] {
+            let run: Vec<u64> = (0..len).map(|i| 1_000_000 + 3 * i).collect();
+            let w = written(|w| w.put_delta_run(run.iter().copied()));
+            // 1–2 length bytes + 3 bytes for the first value + 1 byte per gap.
+            let bound = len as usize + 5;
+            assert!(
+                w.len() <= bound,
+                "gap compression failed: {} bytes",
+                w.len()
+            );
+            let mut r = WireReader::new(w.as_bytes());
+            assert_eq!(r.delta_run().unwrap(), run);
+            r.finish().unwrap();
+        }
     }
 
     #[test]
     fn empty_delta_run_is_one_byte() {
-        let mut w = WireWriter::new();
-        w.put_delta_run(&[]);
+        let w = written(|w| w.put_delta_run(std::iter::empty()));
         assert_eq!(w.len(), 1);
         let mut r = WireReader::new(w.as_bytes());
         assert!(r.delta_run().unwrap().is_empty());
@@ -458,9 +516,10 @@ mod tests {
 
     #[test]
     fn finish_flags_trailing_bytes() {
-        let mut w = WireWriter::new();
-        w.put_varint(7);
-        w.put_u8(0xAB);
+        let w = written(|w| {
+            w.put_varint(7);
+            w.put_u8(0xAB);
+        });
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.varint().unwrap(), 7);
@@ -501,5 +560,15 @@ mod tests {
         let mut cursor = io::Cursor::new(pipe);
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_writing() {
+        let mut pipe = Vec::new();
+        write_frame(&mut pipe, 1, &vec![0u8; MAX_FRAME_LEN]).unwrap();
+        let at_cap = pipe.len();
+        let err = write_frame(&mut pipe, 1, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(pipe.len(), at_cap, "a refused frame wrote bytes");
     }
 }
